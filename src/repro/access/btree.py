@@ -9,9 +9,12 @@ prefix range exact.
 
 Structure: a meta page (page 0 of the index file) records the root; leaf
 nodes form a singly linked chain for range scans.  Nodes are (de)serialised
-whole from their page on access — simple, and the buffer pool amortises the
-I/O.  Deletion rebalances: underfull nodes borrow from or merge with a
-sibling, shrinking the tree when the root empties.
+whole from their page.  Readers keep the decoded node on the buffer frame
+(:attr:`Page.decoded`), so a hot node is parsed once per residency rather
+than once per visit; writers mutate a private copy and store it back,
+and the store leaves a copy of what it wrote on the frame.
+Deletion rebalances: underfull nodes borrow from or merge with a sibling,
+shrinking the tree when the root empties.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ class _Leaf:
             2 * _KLEN.size + len(k) + len(v)
             for k, v in zip(self.keys, self.values))
 
+    def copy(self) -> "_Leaf":
+        return _Leaf(list(self.keys), list(self.values), self.next_page)
+
 
 @dataclass
 class _Internal:
@@ -59,8 +65,43 @@ class _Internal:
         return (_NODE_HEADER.size + _CHILD.size
                 + sum(_KLEN.size + len(k) + _CHILD.size for k in self.keys))
 
+    def copy(self) -> "_Internal":
+        return _Internal(list(self.keys), list(self.children))
+
 
 _Node = _Leaf | _Internal
+
+
+def _decode_node(data: bytearray) -> _Node:
+    """Parse one node from its page payload."""
+    kind, count, nxt = _NODE_HEADER.unpack_from(data, 0)
+    pos = _NODE_HEADER.size
+    if kind == _LEAF:
+        node = _Leaf(next_page=None if nxt == _NO_NEXT else nxt)
+        for _ in range(count):
+            (klen,) = _KLEN.unpack_from(data, pos)
+            pos += _KLEN.size
+            key = bytes(data[pos:pos + klen])
+            pos += klen
+            (vlen,) = _KLEN.unpack_from(data, pos)
+            pos += _KLEN.size
+            node.keys.append(key)
+            node.values.append(bytes(data[pos:pos + vlen]))
+            pos += vlen
+        return node
+    node = _Internal()
+    (child0,) = _CHILD.unpack_from(data, pos)
+    pos += _CHILD.size
+    node.children.append(child0)
+    for _ in range(count):
+        (klen,) = _KLEN.unpack_from(data, pos)
+        pos += _KLEN.size
+        node.keys.append(bytes(data[pos:pos + klen]))
+        pos += klen
+        (child,) = _CHILD.unpack_from(data, pos)
+        pos += _CHILD.size
+        node.children.append(child)
+    return node
 
 
 class BPlusTree:
@@ -120,35 +161,29 @@ class BPlusTree:
     # -- node I/O ----------------------------------------------------------------
 
     def _load_node(self, page_no: int) -> _Node:
+        """A private copy of the node, for write paths.
+
+        Writers mutate the node before :meth:`_store_node` serialises it;
+        a private copy means a store that raises (an oversized key)
+        leaves no mutated node behind for readers to see.  The copy is
+        taken from the frame's decoded node when there is one."""
         page = self.pages.fetch(PageId(self.file_id, page_no))
         try:
-            kind, count, nxt = _NODE_HEADER.unpack_from(page.data, 0)
-            pos = _NODE_HEADER.size
-            if kind == _LEAF:
-                node = _Leaf(next_page=None if nxt == _NO_NEXT else nxt)
-                for _ in range(count):
-                    (klen,) = _KLEN.unpack_from(page.data, pos)
-                    pos += _KLEN.size
-                    key = bytes(page.data[pos:pos + klen])
-                    pos += klen
-                    (vlen,) = _KLEN.unpack_from(page.data, pos)
-                    pos += _KLEN.size
-                    node.keys.append(key)
-                    node.values.append(bytes(page.data[pos:pos + vlen]))
-                    pos += vlen
-                return node
-            node = _Internal()
-            (child0,) = _CHILD.unpack_from(page.data, pos)
-            pos += _CHILD.size
-            node.children.append(child0)
-            for _ in range(count):
-                (klen,) = _KLEN.unpack_from(page.data, pos)
-                pos += _KLEN.size
-                node.keys.append(bytes(page.data[pos:pos + klen]))
-                pos += klen
-                (child,) = _CHILD.unpack_from(page.data, pos)
-                pos += _CHILD.size
-                node.children.append(child)
+            node = page.decoded
+            return _decode_node(page.data) if node is None else node.copy()
+        finally:
+            self.pages.unpin(page.page_id)
+
+    def _read_node(self, page_no: int) -> _Node:
+        """The node as readers see it: decoded once per buffer frame and
+        kept on :attr:`Page.decoded` until ``Page.write`` clears it or
+        the frame leaves the pool.  The result is shared, so callers
+        must not mutate it."""
+        page = self.pages.fetch(PageId(self.file_id, page_no))
+        try:
+            node = page.decoded
+            if node is None:
+                node = page.decoded = _decode_node(page.data)
             return node
         finally:
             self.pages.unpin(page.page_id)
@@ -181,6 +216,9 @@ class BPlusTree:
                     f"B+-tree node serialises to {len(blob)} bytes, page "
                     f"holds {page.usable_size}; key too large for page size")
             page.write(0, blob)
+            # The frame's decoded form is now exactly what was written;
+            # a copy, so the caller's node stays private.
+            page.decoded = node.copy()
         finally:
             if own:
                 self.pages.unpin(page.page_id, dirty=True)
@@ -215,7 +253,7 @@ class BPlusTree:
         path: list[tuple[int, int]] = []
         page_no = self.root_page
         for _ in range(self.height - 1):
-            node = self._load_node(page_no)
+            node = self._read_node(page_no)
             idx = bisect_right(node.keys, key)
             path.append((page_no, idx))
             page_no = node.children[idx]
@@ -223,7 +261,7 @@ class BPlusTree:
         return path
 
     def get(self, key: bytes) -> Optional[bytes]:
-        leaf = self._load_node(self._descend(key)[-1][0])
+        leaf = self._read_node(self._descend(key)[-1][0])
         idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             return leaf.values[idx]
@@ -258,12 +296,11 @@ class BPlusTree:
             return
         leaf.keys.insert(idx, key)
         leaf.values.insert(idx, value)
-        self.num_entries += 1
-        if not self._overflows(leaf):
+        if self._overflows(leaf):
+            self._split_and_propagate(path, leaf)
+        else:
             self._store_node(leaf_page, leaf)
-            self._write_meta()
-            return
-        self._split_and_propagate(path, leaf)
+        self.num_entries += 1      # only once the entry is stored
         self._write_meta()
 
     def _split_and_propagate(self, path: list[tuple[int, int]],
@@ -417,7 +454,7 @@ class BPlusTree:
 
     def _shrink_root(self) -> None:
         while self.height > 1:
-            root = self._load_node(self.root_page)
+            root = self._read_node(self.root_page)
             if root.kind == _INTERNAL and len(root.keys) == 0:
                 self.root_page = root.children[0]
                 self.height -= 1
@@ -436,11 +473,11 @@ class BPlusTree:
         else:
             page_no = self.root_page
             for _ in range(self.height - 1):
-                page_no = self._load_node(page_no).children[0]
+                page_no = self._read_node(page_no).children[0]
             leaf_page = page_no
         page: Optional[int] = leaf_page
         while page is not None:
-            leaf = self._load_node(page)
+            leaf = self._read_node(page)
             for key, value in zip(leaf.keys, leaf.values):
                 if lo is not None:
                     if lo_inclusive and key < lo:
@@ -485,7 +522,7 @@ class BPlusTree:
 
     def _check_node(self, page_no: int, level: int,
                     lo: Optional[bytes], hi: Optional[bytes]) -> int:
-        node = self._load_node(page_no)
+        node = self._read_node(page_no)
         if level == 1 and node.kind != _LEAF:
             raise IndexError_("non-leaf at leaf level")
         if level > 1 and node.kind != _INTERNAL:

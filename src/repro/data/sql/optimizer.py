@@ -13,7 +13,8 @@ the physical step's brain:
   algorithms, aware of the buffer pool size (a table that fits in the
   pool pays sequential-read cost even for "random" probes);
 - :func:`choose_access_path` picks heap scan vs index equality vs index
-  range per table reference;
+  interval per table reference (:func:`rule_access_path` is the
+  no-statistics rule, sharing the interval folding);
 - :func:`order_joins` greedily orders inner equi-join graphs by
   estimated intermediate cardinality and selects hash vs nested-loop
   per step.
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.access.record import ColumnType
 from repro.data.sql.stats import ColumnStats, TableStats
 
 # Default selectivities when no statistics (or no comparable value) are
@@ -36,6 +38,16 @@ from repro.data.sql.stats import ColumnStats, TableStats
 DEFAULT_EQ_SELECTIVITY = 0.1
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_SELECTIVITY = 0.25
+
+#: Predicate ops that bound a column from one or both sides; all of a
+#: column's range conjuncts fold into one interval.
+RANGE_OPS = ("<", "<=", ">", ">=", "between")
+
+# One value of each column type: an index bound must order against it,
+# else the probe would not answer what a scan answers.
+_TYPE_SAMPLE = {ColumnType.INT: 0, ColumnType.FLOAT: 0.0,
+                ColumnType.BOOL: False, ColumnType.TEXT: "",
+                ColumnType.BYTES: b""}
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +93,8 @@ class SelectivityEstimator:
             if column is not None and column.n_distinct > 0:
                 return column.eq_selectivity(spec.value)
             return DEFAULT_EQ_SELECTIVITY
-        if spec.op in ("<", "<=", ">", ">="):
-            if column is not None and column.histogram:
-                return column.range_selectivity(spec.op, spec.value)
-            return DEFAULT_RANGE_SELECTIVITY
-        if spec.op == "between":
-            if column is not None and column.histogram:
-                return column.between_selectivity(spec.low, spec.high)
-            return DEFAULT_RANGE_SELECTIVITY / 2
+        if spec.op in RANGE_OPS:
+            return self._ranges(spec.column, [spec])
         if spec.op == "isnull":
             return column.null_fraction if column is not None \
                 else DEFAULT_EQ_SELECTIVITY
@@ -103,12 +109,42 @@ class SelectivityEstimator:
             return min(1.0, per_item * max(count, 1))
         return DEFAULT_SELECTIVITY
 
+    def interval(self, column_name: str, low: Optional[tuple],
+                 high: Optional[tuple]) -> float:
+        """Fraction of rows inside an :func:`index_interval` result."""
+        column = self._column(column_name)
+        if column is not None and column.histogram:
+            return column.interval_selectivity(low, high)
+        if low is not None and high is not None:
+            return DEFAULT_RANGE_SELECTIVITY / 2
+        return DEFAULT_RANGE_SELECTIVITY
+
     def combined(self, specs: list[PredicateSpec]) -> float:
-        """Independence-assumption product over all conjuncts."""
+        """Independence-assumption product over all conjuncts, except
+        that one column's range conjuncts are priced together as one
+        interval: ``id >= a AND id < b`` keeps ``b - a`` keys, not the
+        product of two half-table fractions."""
         selectivity = 1.0
+        ranges: dict[str, list[PredicateSpec]] = {}
         for spec in specs:
-            selectivity *= self.conjunct(spec)
+            if spec.op in RANGE_OPS:
+                ranges.setdefault(spec.column, []).append(spec)
+            else:
+                selectivity *= self.conjunct(spec)
+        for column, group in ranges.items():
+            selectivity *= self._ranges(column, group)
         return selectivity
+
+    def _ranges(self, column_name: str,
+                specs: list[PredicateSpec]) -> float:
+        interval = index_interval(specs)
+        if interval is None:            # bounds that do not order
+            return DEFAULT_RANGE_SELECTIVITY
+        return self.interval(column_name, *interval)
+
+    def correlation(self, column_name: str) -> float:
+        column = self._column(column_name)
+        return column.correlation if column is not None else 0.0
 
     def n_distinct(self, column_name: str) -> int:
         column = self._column(column_name)
@@ -164,11 +200,20 @@ class CostModel:
         is charged per *operation*, not per materialised tuple."""
         return pages * self.seq_page_cost + rows * self.cpu_operator_cost
 
-    def index_scan(self, pages: int, rows: float,
-                   matching_rows: float) -> float:
-        """An index probe plus one heap fetch per matching row."""
+    def index_scan(self, pages: int, rows: float, matching_rows: float,
+                   correlation: float = 0.0) -> float:
+        """An index probe plus the heap fetches of the matching rows.
+
+        Rows scattered over the heap cost one page fetch each; rows
+        stored in index order share pages, so they cost their share of
+        sequential pages.  The fetch cost moves between the two by the
+        squared correlation of heap and index order (as PostgreSQL's
+        ``cost_index`` does)."""
         probe = self._btree_height(rows) * self.random_page(pages)
         fetches = matching_rows * self.random_page(pages)
+        clustered = matching_rows * pages / max(rows, 1.0) \
+            * self.seq_page_cost
+        fetches += correlation ** 2 * (clustered - fetches)
         return probe + fetches + matching_rows * self.cpu_tuple_cost
 
     def dml_overhead(self, matching_rows: float) -> float:
@@ -203,13 +248,79 @@ class ScanChoice:
     cost: float
     est_rows: float            # rows after ALL pushable filters
     column: Optional[str] = None
-    op: Optional[str] = None
     value: object = None
     low: object = None         # (value, inclusive) or None
     high: object = None
     #: Columnar scans carry the pushable conjuncts: zone maps skip
     #: blocks and encoded evaluation pre-filters rows with them.
     specs: tuple = ()
+
+    def key_bounds(self) -> tuple:
+        """Index probe bounds ``(lo, hi, lo_inclusive, hi_inclusive)``
+        as key tuples (``None``: unbounded); an equality is the closed
+        interval ``[value, value]``."""
+        if self.kind == "index_eq":
+            return (self.value,), (self.value,), True, True
+        low, high = self.low, self.high
+        return ((low[0],) if low is not None else None,
+                (high[0],) if high is not None else None,
+                low[1] if low is not None else True,
+                high[1] if high is not None else True)
+
+
+def index_interval(specs: list[PredicateSpec],
+                   sample: object = None) -> Optional[tuple]:
+    """Fold range conjuncts on one column into one interval.
+
+    Returns ``(low, high)``, each ``(value, inclusive)`` or ``None`` for
+    an open side.  Of two bounds on one side the tighter wins (at equal
+    values, the exclusive one).  Returns ``None`` when the bounds do not
+    order against each other or against ``sample``, a value of the
+    column's type: an index probe with such a bound would not answer
+    what a scan answers, so callers fall back to the scan.
+    """
+    sides = []
+    for spec in specs:
+        if spec.op == "between":
+            sides += [(spec.low, True, True), (spec.high, True, False)]
+        else:
+            sides.append((spec.value, spec.op in ("<=", ">="),
+                          spec.op in (">", ">=")))
+    try:
+        sorted([value for value, _, _ in sides]
+               + ([] if sample is None else [sample]))
+    except TypeError:
+        return None
+    low = high = None
+    for value, inclusive, is_low in sides:
+        current = low if is_low else high
+        if current is None or (not inclusive if value == current[0]
+                               else (value > current[0]) == is_low):
+            if is_low:
+                low = (value, inclusive)
+            else:
+                high = (value, inclusive)
+    return low, high
+
+
+def _column_interval(table, specs: list[PredicateSpec],
+                     column: str) -> Optional[tuple]:
+    """:func:`index_interval` over every range conjunct on ``column``."""
+    return index_interval(
+        [s for s in specs if s.column == column and s.op in RANGE_OPS],
+        _TYPE_SAMPLE.get(table.schema.column(column).type))
+
+
+def _record_sightings(table, specs: list[PredicateSpec]) -> None:
+    """Workload observation: every sargable conjunct planned is a
+    predicate sighting, whether or not an index exists yet.  That
+    asymmetry is the point: the index advisor reads these counts to find
+    columns that are filtered often but have no index."""
+    record = getattr(table, "record_predicate", None)
+    if record is not None:
+        for spec in specs:
+            if spec.column and spec.op != "other":
+                record(spec.column, spec.op)
 
 
 def choose_access_path(table, stats: TableStats,
@@ -218,28 +329,21 @@ def choose_access_path(table, stats: TableStats,
                        columnar=None) -> ScanChoice:
     """Pick the cheapest access path for a base table.
 
-    ``specs`` are the single-table conjuncts; each spec whose column has
-    a matching index generates an index candidate, and a valid columnar
-    mirror (``columnar`` is the table's store when usable) generates a
-    columnar-scan candidate priced by its zone-map skipping estimate.
-    The estimated output cardinality (used for join ordering) is the
-    same for every candidate — it reflects all filters — only the cost
-    differs.
+    ``specs`` are the single-table conjuncts.  Each equality on an
+    indexed column generates an index-equality candidate; the range
+    conjuncts on a B+-tree-indexed column fold into one interval
+    candidate, priced by the interval's histogram fraction; a valid
+    columnar mirror (``columnar`` is the table's store when usable)
+    generates a columnar-scan candidate priced by its zone-map skipping
+    estimate.  The estimated output cardinality (used for join ordering)
+    is the same for every candidate — it reflects all filters — only the
+    cost differs.
     """
     estimator = SelectivityEstimator(stats)
     rows = float(stats.row_count)
     pages = max(stats.page_count, 1)
     out_rows = max(rows * estimator.combined(specs), 0.0)
-
-    # Workload observation: every sargable conjunct priced here is a
-    # predicate sighting — whether or not an index exists yet.  That
-    # asymmetry is the point: the index advisor reads these counts to
-    # find columns that are filtered often but have no index.
-    record = getattr(table, "record_predicate", None)
-    if record is not None:
-        for spec in specs:
-            if spec.column and spec.op != "other":
-                record(spec.column, spec.op)
+    _record_sightings(table, specs)
 
     best = ScanChoice("seq", f"seq_scan({table.name})",
                       cost_model.seq_scan(pages, rows), out_rows)
@@ -250,46 +354,60 @@ def choose_access_path(table, stats: TableStats,
             best = ScanChoice("columnar",
                               f"columnar_scan({table.name})",
                               cost, out_rows, specs=tuple(specs))
+    ranged: set[str] = set()
     for spec in specs:
-        selectivity = estimator.conjunct(spec)
-        matching = rows * selectivity
         if spec.op == "=":
-            index = table.index_on((spec.column,))
-            if index is None:
+            if table.index_on((spec.column,)) is None:
                 continue
-            cost = cost_model.index_scan(pages, rows, matching)
+            matching = rows * estimator.conjunct(spec)
+            cost = cost_model.index_scan(
+                pages, rows, matching, estimator.correlation(spec.column))
             if cost < best.cost:
                 best = ScanChoice(
                     "index_eq", f"index_eq({table.name}.{spec.column})",
-                    cost, out_rows, spec.column, "=", spec.value)
-        elif spec.op in ("<", "<=", ">", ">="):
-            index = table.index_on((spec.column,), require_btree=True)
-            if index is None:
+                    cost, out_rows, spec.column, spec.value)
+        elif spec.op in RANGE_OPS and spec.column not in ranged:
+            ranged.add(spec.column)
+            if table.index_on((spec.column,), require_btree=True) is None:
                 continue
-            cost = cost_model.index_scan(pages, rows, matching)
-            if cost < best.cost:
-                low = high = None
-                if spec.op in (">", ">="):
-                    low = (spec.value, spec.op == ">=")
-                else:
-                    high = (spec.value, spec.op == "<=")
-                best = ScanChoice(
-                    "index_range",
-                    f"index_range({table.name}.{spec.column})",
-                    cost, out_rows, spec.column, spec.op,
-                    low=low, high=high)
-        elif spec.op == "between":
-            index = table.index_on((spec.column,), require_btree=True)
-            if index is None:
+            interval = _column_interval(table, specs, spec.column)
+            if interval is None:
                 continue
-            cost = cost_model.index_scan(pages, rows, matching)
+            matching = rows * estimator.interval(spec.column, *interval)
+            cost = cost_model.index_scan(
+                pages, rows, matching, estimator.correlation(spec.column))
             if cost < best.cost:
                 best = ScanChoice(
                     "index_range",
                     f"index_range({table.name}.{spec.column})",
-                    cost, out_rows, spec.column, "between",
-                    low=(spec.low, True), high=(spec.high, True))
+                    cost, out_rows, spec.column,
+                    low=interval[0], high=interval[1])
     return best
+
+
+def rule_access_path(table,
+                     specs: list[PredicateSpec]) -> Optional[ScanChoice]:
+    """The access path without statistics: the first conjunct whose
+    column has a usable index drives the probe — any index for an
+    equality, a B+-tree for a range, probed over the interval of every
+    range conjunct on that column.  ``None`` means scan the heap."""
+    _record_sightings(table, specs)
+    for spec in specs:
+        if spec.op == "=":
+            if table.index_on((spec.column,)) is not None:
+                return ScanChoice(
+                    "index_eq", f"index_eq({table.name}.{spec.column})",
+                    0.0, 0.0, spec.column, spec.value)
+        elif spec.op in RANGE_OPS and table.index_on(
+                (spec.column,), require_btree=True) is not None:
+            interval = _column_interval(table, specs, spec.column)
+            if interval is not None:
+                return ScanChoice(
+                    "index_range",
+                    f"index_range({table.name}.{spec.column})",
+                    0.0, 0.0, spec.column,
+                    low=interval[0], high=interval[1])
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,12 @@ from repro.data.sql.compiler import (
     compile_scalar_factory,
 )
 from repro.data.sql.lexer import Token, tokenize
-from repro.data.sql.optimizer import CostModel, choose_access_path
+from repro.data.sql.optimizer import (
+    CostModel,
+    PredicateSpec,
+    choose_access_path,
+    rule_access_path,
+)
 from repro.data.sql.planner import (
     PlanInfo,
     Planner,
@@ -288,7 +293,9 @@ class SelectTemplate:
     where: Optional[ast.Expression]
     conjuncts: list
     spec_ok: list[bool]
-    rule_pick: Optional[tuple[str, str, Callable]]
+    #: Build-time ``(column, op, value factory)`` per ``col OP constant``
+    #: conjunct: the no-statistics rule's probe candidates.
+    rule_specs: tuple[tuple[str, str, Callable], ...]
     predicate_factory: Optional[Callable]
     projection_factory: Callable
     out_columns: list[str]
@@ -301,11 +308,8 @@ class SelectTemplate:
     tables: tuple[str, ...] = ()
     kind: str = "select"
     #: Adaptation class ("point" | "analytic"): routes the statement
-    #: through the per-class engine override, and build-time sargable
-    #: ``(column, op)`` pairs recorded on non-cost-based executions so
-    #: the index advisor sees predicates even before ANALYZE.
+    #: through the per-class engine override.
     query_class: str = "analytic"
-    observed_pairs: tuple = ()
 
     def execute(self, db, params: tuple, state: str):
         txn, autocommit = db._txn()
@@ -407,39 +411,13 @@ class SelectTemplate:
             info.estimated_cost = round(choice.cost, 2)
             info.cost_based = True
             return source
-        record = getattr(table, "record_predicate", None)
-        if record is not None:
-            # Non-cost-based executions: the build-time sargable pairs
-            # are this statement's predicate sightings (the cost-based
-            # branch above records through choose_access_path instead).
-            for column, op_name in self.observed_pairs:
-                record(column, op_name)
-        if self.rule_pick is not None:
-            column, op_name, value_factory = self.rule_pick
-            index = table.index_on((column,),
-                                   require_btree=op_name != "=")
-            if index is None:
-                raise StalePlanError(self.table_name)
-            value = value_factory(params)
-            if op_name == "=":
-                info.access_paths.append(
-                    f"index_eq({table.name}.{column})")
-                info.stores.append(f"{self.binding}=heap")
-                return planner._index_source(table, columns, index,
-                                             "eq", value)
-            lo = hi = None
-            lo_inc = hi_inc = True
-            if op_name in (">", ">="):
-                lo, lo_inc = (value,), op_name == ">="
-            else:
-                hi, hi_inc = (value,), op_name == "<="
-            info.access_paths.append(
-                f"index_range({table.name}.{column})")
+        choice = rule_access_path(table, [
+            PredicateSpec(column, op_name, value_factory(params))
+            for column, op_name, value_factory in self.rule_specs])
+        if choice is not None:
+            info.access_paths.append(choice.path)
             info.stores.append(f"{self.binding}=heap")
-            return planner._index_source(table, columns, index, "range",
-                                         lo=lo, hi=hi,
-                                         lo_inclusive=lo_inc,
-                                         hi_inclusive=hi_inc)
+            return planner._choice_source(table, self.binding, choice)
         info.access_paths.append(f"seq_scan({self.table_name})")
         info.stores.append(f"{self.binding}=heap")
         snap = planner.snapshot
@@ -642,19 +620,13 @@ def _build_select(select: ast.SelectStatement, db) -> SelectTemplate:
     schemas = {binding: table.schema}
     spec_ok = [_conjunct_bindings(c, schemas) == {binding}
                for c in conjuncts]
-    rule_pick = None
-    observed_pairs: list[tuple[str, str]] = []
+    rule_specs = []
     for conjunct in conjuncts:
         match = _index_match(conjunct, binding)
-        if match is None:
-            continue
-        column, op_name, value_expr = match
-        observed_pairs.append((column, op_name))
-        if table.index_on((column,),
-                          require_btree=op_name != "=") is None:
-            continue
-        if rule_pick is None:
-            rule_pick = (column, op_name, _scalar_factory(value_expr))
+        if match is not None:
+            column, op_name, value_expr = match
+            rule_specs.append(
+                (column, op_name, _scalar_factory(value_expr)))
 
     predicate_factory = compile_predicate_factory(select.where, scope) \
         if select.where is not None else None
@@ -712,7 +684,8 @@ def _build_select(select: ast.SelectStatement, db) -> SelectTemplate:
     return SelectTemplate(
         table_name=select.table.name, binding=binding,
         scope_columns=columns, where=select.where,
-        conjuncts=conjuncts, spec_ok=spec_ok, rule_pick=rule_pick,
+        conjuncts=conjuncts, spec_ok=spec_ok,
+        rule_specs=tuple(rule_specs),
         predicate_factory=predicate_factory,
         projection_factory=projection_factory, out_columns=out_columns,
         keys=keys, hidden_factory=hidden_factory,
@@ -722,9 +695,8 @@ def _build_select(select: ast.SelectStatement, db) -> SelectTemplate:
         offset_factory=_scalar_factory(select.offset)
         if select.offset is not None else None,
         tables=(select.table.name,),
-        query_class="point" if any(op == "=" for _, op
-                                   in observed_pairs) else "analytic",
-        observed_pairs=tuple(observed_pairs))
+        query_class="point" if any(op == "=" for _, op, _
+                                   in rule_specs) else "analytic")
 
 
 def _build_update(statement: ast.Update, db) -> DmlTemplate:

@@ -64,6 +64,7 @@ from repro.data.sql.optimizer import (
     SelectivityEstimator,
     choose_access_path,
     order_joins,
+    rule_access_path,
 )
 from repro.errors import SQLPlanError
 
@@ -443,11 +444,13 @@ class Planner:
                 return self._as_of_source(table_ref, table, params, info)
             self._lock_for_read(name, table)
             columns = [f"{binding}.{c}" for c in table.schema.names]
-            source = self._indexed_source(table, binding, columns, where,
-                                          params, info)
-            if source is not None:
+            choice = rule_access_path(table, _rule_specs(
+                _conjuncts(where) if where is not None else [], binding,
+                params))
+            if choice is not None:
+                info.access_paths.append(choice.path)
                 info.stores.append(f"{binding}=heap")
-                return source
+                return self._choice_source(table, binding, choice)
             store = self._columnar_candidate(table)
             if store is not None:
                 specs = self._pushable_specs(table, binding, where,
@@ -476,51 +479,42 @@ class Planner:
                           batch_factory=lambda: rows_factory.batches())
         raise SQLPlanError(f"no table or view named {name!r}")
 
-    def _indexed_source(self, table, binding: str, columns: list[str],
-                        where: Optional[ast.Expression],
-                        params: Sequence[Any],
-                        info: PlanInfo) -> Optional[Operator]:
-        """Use an index when a WHERE conjunct matches one."""
-        if where is None:
-            return None
-        record = getattr(table, "record_predicate", None)
-        for conjunct in _conjuncts(where):
-            match = _index_match(conjunct, binding)
-            if match is None:
-                continue
-            column, op_name, value_expr = match
-            # Sighting recorded before the index-existence check: the
-            # advisor needs to see predicates on *unindexed* columns.
-            if record is not None:
-                record(column, op_name)
-            index = table.index_on((column,),
-                                   require_btree=op_name != "=")
-            if index is None:
-                continue
-            value = compile_expression(value_expr, Scope([]), params)(())
-            if op_name == "=":
-                info.access_paths.append(
-                    f"index_eq({table.name}.{column})")
-                return self._index_source(table, columns, index, "eq",
-                                          value)
-            lo = hi = None
-            lo_inc = hi_inc = True
-            if op_name in (">", ">="):
-                lo, lo_inc = (value,), op_name == ">="
-            else:
-                hi, hi_inc = (value,), op_name == "<="
-            info.access_paths.append(
-                f"index_range({table.name}.{column})")
-            return self._index_source(table, columns, index, "range",
-                                      lo=lo, hi=hi, lo_inclusive=lo_inc,
-                                      hi_inclusive=hi_inc)
-        return None
+    def _index_rids(self, table, choice: ScanChoice,
+                    latch) -> Callable[[], Any]:
+        """Candidate-RID producer for an index :class:`ScanChoice`.
 
-    def _index_source(self, table, columns: list[str], index, kind: str,
-                      value: Any = None, lo: Optional[tuple] = None,
-                      hi: Optional[tuple] = None,
-                      lo_inclusive: bool = True,
-                      hi_inclusive: bool = True) -> Source:
+        Each call counts one probe and, under serializable isolation,
+        registers the probed bounds as a SIREAD key-range lock: the
+        bounds are the statement's predicate read, so the lock catches
+        writers that move rows into (or out of) the range — the phantom
+        case tuple SIREADs cannot cover.  With a ``latch`` the probe runs
+        under it and is materialised; without one it streams lazily.
+        """
+        index = table.index_on((choice.column,),
+                               require_btree=choice.kind == "index_range")
+        lo, hi, lo_inc, hi_inc = choice.key_bounds()
+        if choice.kind == "index_eq":
+            probe = lambda: index.lookup_eq(lo)  # noqa: E731
+        else:
+            probe = lambda: index.range_scan(  # noqa: E731
+                lo, hi, lo_inc, hi_inc)
+        ssi = self._ssi_pair()
+        key_columns = index.definition.columns
+
+        def rids():
+            table.index_probes += 1
+            if ssi is not None:
+                ssi[0].record_key_range(ssi[1], table.name, key_columns,
+                                        lo, hi, lo_inc, hi_inc)
+            if latch is None:
+                return probe()
+            with latch:
+                return list(probe())
+
+        return rids
+
+    def _index_source(self, table, columns: list[str],
+                      choice: ScanChoice) -> Source:
         """Leaf operator fetching heap rows through an index probe
         (shared by the rule-based and cost-based paths).
 
@@ -545,36 +539,10 @@ class Planner:
         (2PL, or unversioned tables) already exclude writers via their
         S lock and skip the latch.
         """
-        if kind == "eq":
-            probe = lambda: index.lookup_eq((value,))  # noqa: E731
-            lo_values = hi_values = (value,)
-            lo_inc = hi_inc = True
-        else:
-            probe = (lambda: index.range_scan(lo, hi, lo_inclusive,
-                                              hi_inclusive))
-            lo_values, hi_values = lo, hi
-            lo_inc, hi_inc = lo_inclusive, hi_inclusive
         latch = getattr(table, "_latch", None) \
             if self.isolation in ("snapshot", "serializable") and \
             getattr(table, "versioned", False) else None
-        ssi = self._ssi_pair()
-        key_columns = index.definition.columns
-
-        def rids():
-            table.index_probes += 1
-            if ssi is not None:
-                # The probed bounds are this statement's predicate read:
-                # a SIREAD key-range lock catches writers that move rows
-                # into (or out of) the range — the phantom case tuple
-                # SIREADs cannot cover.
-                ssi[0].record_key_range(ssi[1], table.name, key_columns,
-                                        lo_values, hi_values, lo_inc,
-                                        hi_inc)
-            if latch is None:
-                return probe()   # locking read path: stream lazily
-            with latch:
-                return list(probe())
-
+        rids = self._index_rids(table, choice, latch)
         snap = self.snapshot
         # read_many holds one pin per same-page RID run (instead of a
         # pin/unpin per record) and preserves index order; the batch
@@ -1007,18 +975,7 @@ class Planner:
                                   snapshot=snap))
             return self._columnar_source(table, binding, store,
                                          choice.specs)
-        index = table.index_on((choice.column,),
-                               require_btree=choice.kind == "index_range")
-        if choice.kind == "index_eq":
-            return self._index_source(table, columns, index, "eq",
-                                      choice.value)
-        lo = (choice.low[0],) if choice.low is not None else None
-        lo_inc = choice.low[1] if choice.low is not None else True
-        hi = (choice.high[0],) if choice.high is not None else None
-        hi_inc = choice.high[1] if choice.high is not None else True
-        return self._index_source(table, columns, index, "range",
-                                  lo=lo, hi=hi, lo_inclusive=lo_inc,
-                                  hi_inclusive=hi_inc)
+        return self._index_source(table, columns, choice)
 
     # -- DML victim selection ---------------------------------------------------------
 
@@ -1060,99 +1017,22 @@ class Planner:
                 est_cost=round(
                     choice.cost + cost_model.dml_overhead(choice.est_rows),
                     2))
-            if choice.kind == "seq":
-                plan.victims = seq_victims
-            elif choice.kind == "index_eq":
-                index = table.index_on((choice.column,))
-                plan.victims = self._dml_index_victims(
-                    table, index, "eq", value=choice.value)
-            else:
-                index = table.index_on((choice.column,),
-                                       require_btree=True)
-                lo = (choice.low[0],) if choice.low is not None else None
-                lo_inc = choice.low[1] if choice.low is not None else True
-                hi = (choice.high[0],) \
-                    if choice.high is not None else None
-                hi_inc = choice.high[1] \
-                    if choice.high is not None else True
-                plan.victims = self._dml_index_victims(
-                    table, index, "range", lo=lo, hi=hi,
-                    lo_inclusive=lo_inc, hi_inclusive=hi_inc)
-            return plan
-
-        record = getattr(table, "record_predicate", None)
-        for conjunct in conjuncts:
-            match = _index_match(conjunct, table_name)
-            if match is None:
-                continue
-            column, op_name, value_expr = match
-            if record is not None:
-                record(column, op_name)
-            index = table.index_on((column,),
-                                   require_btree=op_name != "=")
-            if index is None:
-                continue
-            value = compile_expression(value_expr, Scope([]), params)(())
-            if op_name == "=":
-                return DMLPlan(
-                    table_name, f"index_eq({table.name}.{column})",
-                    victims=self._dml_index_victims(table, index, "eq",
-                                                    value=value))
-            lo = hi = None
-            lo_inc = hi_inc = True
-            if op_name in (">", ">="):
-                lo, lo_inc = (value,), op_name == ">="
-            else:
-                hi, hi_inc = (value,), op_name == "<="
-            return DMLPlan(
-                table_name, f"index_range({table.name}.{column})",
-                victims=self._dml_index_victims(
-                    table, index, "range", lo=lo, hi=hi,
-                    lo_inclusive=lo_inc, hi_inclusive=hi_inc))
-        return DMLPlan(table_name, f"seq_scan({table_name})",
-                       victims=seq_victims)
-
-    def _dml_index_victims(self, table, index, kind: str,
-                           value: Any = None, lo: Optional[tuple] = None,
-                           hi: Optional[tuple] = None,
-                           lo_inclusive: bool = True,
-                           hi_inclusive: bool = True) -> Callable:
-        """Victim producer for a DML index probe: candidate head RIDs
-        from the (version-aware) index, re-checked against the statement
-        view by ``read_pairs``.  The probe always runs under the table
-        latch — a DML statement holds no S lock in any isolation mode,
-        so the in-memory index structure must be guarded against
-        concurrent maintenance.  Under serializable isolation the probed
-        bounds register as a SIREAD key-range lock, exactly like a
-        SELECT through the same index."""
-        if kind == "eq":
-            probe = lambda: index.lookup_eq((value,))  # noqa: E731
-            lo_values = hi_values = (value,)
-            lo_inc = hi_inc = True
         else:
-            probe = (lambda: index.range_scan(lo, hi, lo_inclusive,
-                                              hi_inclusive))
-            lo_values, hi_values = lo, hi
-            lo_inc, hi_inc = lo_inclusive, hi_inclusive
-        latch = getattr(table, "_latch", None)
-        snap = self.snapshot
-        ssi = self._ssi_pair()
-        key_columns = index.definition.columns
-
-        def victims():
-            table.index_probes += 1
-            if ssi is not None:
-                ssi[0].record_key_range(ssi[1], table.name, key_columns,
-                                        lo_values, hi_values, lo_inc,
-                                        hi_inc)
-            if latch is None:
-                candidates = list(probe())
-            else:
-                with latch:
-                    candidates = list(probe())
-            return table.read_pairs(candidates, snapshot=snap)
-
-        return victims
+            choice = rule_access_path(
+                table, _rule_specs(conjuncts, table_name, params))
+            plan = DMLPlan(table_name, choice.path if choice is not None
+                           else f"seq_scan({table_name})")
+        if choice is None or choice.kind == "seq":
+            plan.victims = seq_victims
+        else:
+            # The probe always runs under the table latch: a DML
+            # statement holds no S lock in any isolation mode, so the
+            # in-memory index structure must be guarded against
+            # concurrent maintenance.
+            rids = self._index_rids(table, choice,
+                                    getattr(table, "_latch", None))
+            plan.victims = lambda: table.read_pairs(rids(), snapshot=snap)
+        return plan
 
     def _join_step(self, tree: Operator, source: Operator, step,
                    info: PlanInfo) -> Operator:
@@ -1484,6 +1364,20 @@ def _constant_value(expr: ast.Expression,
     if isinstance(expr, (ast.Literal, ast.Param)):
         return True, compile_expression(expr, Scope([]), params)(())
     return False, None
+
+
+def _rule_specs(conjuncts: list[ast.Expression], binding: str,
+                params: Sequence[Any]) -> list[PredicateSpec]:
+    """The ``col OP constant`` conjuncts the no-statistics access-path
+    rule (:func:`rule_access_path`) can probe with."""
+    specs = []
+    for conjunct in conjuncts:
+        match = _index_match(conjunct, binding)
+        if match is not None:
+            column, op_name, value_expr = match
+            specs.append(PredicateSpec(
+                column, op_name, _constant_value(value_expr, params)[1]))
+    return specs
 
 
 def _predicate_spec(conjunct: ast.Expression, binding: str,

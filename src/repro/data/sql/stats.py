@@ -48,6 +48,11 @@ class ColumnStats:
     #: histogram[-1] the max, with (roughly) equal row counts between
     #: consecutive boundaries.  Empty when the column is unorderable.
     histogram: list = field(default_factory=list)
+    #: Correlation between the heap's physical row order and the
+    #: column's value order, in [-1, 1] (PostgreSQL's
+    #: ``pg_stats.correlation``): near ±1 when rows are stored sorted on
+    #: the column, so an index range on it reads consecutive pages.
+    correlation: float = 0.0
 
     # -- selectivity ------------------------------------------------------
 
@@ -91,21 +96,17 @@ class ColumnStats:
             within = (value - lo) / (hi - lo)
         return ((position - 1) + min(max(within, 0.0), 1.0)) / buckets
 
-    def range_selectivity(self, op: str, value: Any) -> float:
-        """Selectivity of ``col OP value`` for an inequality operator."""
-        not_null = 1.0 - self.null_fraction
-        if op in ("<", "<="):
-            fraction = self.fraction_below(value, inclusive=op == "<=")
-        else:
-            fraction = 1.0 - self.fraction_below(value,
-                                                 inclusive=op == ">")
-        return max(0.0, min(1.0, fraction)) * not_null
-
-    def between_selectivity(self, low: Any, high: Any) -> float:
-        not_null = 1.0 - self.null_fraction
-        fraction = self.fraction_below(high, inclusive=True) - \
-            self.fraction_below(low, inclusive=False)
-        return max(0.0, min(1.0, fraction)) * not_null
+    def interval_selectivity(self, low: Optional[tuple],
+                             high: Optional[tuple]) -> float:
+        """Selectivity of a column interval; each bound is ``(value,
+        inclusive)`` or ``None`` for an open side.  One-sided ranges and
+        BETWEEN are intervals too."""
+        below_high = 1.0 if high is None else \
+            self.fraction_below(high[0], inclusive=high[1])
+        below_low = 0.0 if low is None else \
+            self.fraction_below(low[0], inclusive=not low[1])
+        fraction = max(0.0, min(1.0, below_high - below_low))
+        return fraction * (1.0 - self.null_fraction)
 
     # -- persistence ------------------------------------------------------
 
@@ -113,14 +114,16 @@ class ColumnStats:
         return {"null_fraction": self.null_fraction,
                 "n_distinct": self.n_distinct,
                 "min": self.minimum, "max": self.maximum,
-                "histogram": list(self.histogram)}
+                "histogram": list(self.histogram),
+                "correlation": self.correlation}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ColumnStats":
         return cls(data.get("null_fraction", 0.0),
                    data.get("n_distinct", 0),
                    data.get("min"), data.get("max"),
-                   list(data.get("histogram", ())))
+                   list(data.get("histogram", ())),
+                   data.get("correlation", 0.0))
 
 
 @dataclass
@@ -157,6 +160,21 @@ def build_histogram(values: list, bounds: int = HISTOGRAM_BOUNDS) -> list:
     return [values[round(i * step)] for i in range(bounds)]
 
 
+def physical_correlation(values: list) -> float:
+    """Pearson correlation between each value's physical position and its
+    position in sorted order (ties keep physical order), rounded to four
+    places.  Both are permutations of ``0..n-1``, so they share a mean
+    and a variance."""
+    n = len(values)
+    if n < 2:
+        return 0.0
+    by_value = sorted(range(n), key=values.__getitem__)
+    mean = (n - 1) / 2
+    covariance = sum((rank - mean) * (position - mean)
+                     for rank, position in enumerate(by_value))
+    return round(covariance / (n * (n * n - 1) / 12), 4)
+
+
 def collect_table_stats(table) -> TableStats:
     """Scan ``table`` once and summarise it (the ANALYZE workhorse)."""
     names = list(table.schema.names)
@@ -178,6 +196,7 @@ def collect_table_stats(table) -> TableStats:
             null_fraction=(nulls[i] / rows) if rows else 0.0,
             n_distinct=len(set(values)))
         if values and _orderable(values):
+            column.correlation = physical_correlation(values)
             values.sort()
             column.minimum = values[0]
             column.maximum = values[-1]

@@ -54,6 +54,12 @@ class Page:
     was last clean — the recovery-LSN entry the fuzzy-checkpoint dirty
     page table records.  ``latch`` is a short-term mutual-exclusion lock
     for physical page access, distinct from transaction-level locks.
+
+    ``decoded`` is an optional read-only decoded form of the payload that
+    an access method may keep on the frame (the B+-tree keeps its parsed
+    node there).  :meth:`write` clears it, and a page re-read from disk
+    starts without one, so it never outlives the bytes it was decoded
+    from.
     """
 
     def __init__(self, page_id: PageId, block_size: int) -> None:
@@ -65,6 +71,7 @@ class Page:
         self.lsn = 0
         self.rec_lsn: int | None = None
         self.latch = threading.RLock()
+        self.decoded: object = None
 
     @property
     def usable_size(self) -> int:
@@ -82,6 +89,7 @@ class Page:
                 f"page area of {self.usable_size} bytes")
         self.data[offset:offset + len(payload)] = payload
         self.dirty = True
+        self.decoded = None
 
     # -- on-disk image -------------------------------------------------------
 

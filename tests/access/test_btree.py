@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.access import BPlusTree, encode_key
-from repro.errors import DuplicateKeyError, KeyNotFoundError
+from repro.data import Database
+from repro.errors import DuplicateKeyError, IndexError_, KeyNotFoundError
 from repro.storage import (
     BufferPool,
     DiskManager,
     FileManager,
     MemoryDevice,
+    PageId,
     PageManager,
 )
 
@@ -236,3 +238,121 @@ class TestModelBased:
             tree.insert(ik(k), b"")
         got = [k for k, _ in tree.items()]
         assert got == [ik(k) for k in sorted(keys)]
+
+
+# ---------------------------------------------------------------------------
+# Decoded nodes kept on buffer frames
+# ---------------------------------------------------------------------------
+
+
+def assert_decoded_match_bytes(tree, pm):
+    """Every decoded node resident on a frame equals a fresh decode of
+    that frame's bytes."""
+    for page in pm.pool.iter_resident():
+        if page.page_id.file_id == tree.file_id \
+                and page.decoded is not None:
+            assert page.decoded == tree._load_node(page.page_id.page_no), \
+                f"stale decoded node on {page.page_id}"
+
+
+def answers(tree, keys):
+    return ([tree.get(ik(k)) for k in keys], list(tree.items()))
+
+
+@st.composite
+def cached_operations(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    ops = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["insert", "delete", "get", "items"]))
+        key = draw(st.integers(min_value=0, max_value=400))
+        width = draw(st.integers(min_value=0, max_value=80))
+        ops.append((kind, key, width))
+    return ops
+
+
+class TestDecodedNodeCache:
+    @given(cached_operations())
+    @settings(max_examples=40, deadline=None)
+    def test_interleaving_against_dict_with_evictions(self, ops):
+        # 256-byte pages and 6 frames: the pre-filled tree spans dozens
+        # of pages, so nearly every visit evicts some decoded node.
+        tree, pm, _ = make_tree(block_size=256, capacity=6)
+        model: dict[int, bytes] = {}
+        for key in range(0, 400, 3):
+            tree.insert(ik(key), b"seed%d" % key)
+            model[key] = b"seed%d" % key
+        evictions = pm.pool.stats.evictions
+        for step, (kind, key, width) in enumerate(ops):
+            if kind == "insert":
+                value = b"v%d.%d" % (key, step)
+                tree.insert(ik(key), value, replace=True)
+                model[key] = value
+            elif kind == "delete":
+                if key in model:
+                    tree.delete(ik(key))
+                    del model[key]
+                else:
+                    with pytest.raises(KeyNotFoundError):
+                        tree.delete(ik(key))
+            elif kind == "get":
+                assert tree.get(ik(key)) == model.get(key)
+            else:
+                got = list(tree.items(ik(key), ik(key + width)))
+                assert got == [(ik(k), model[k]) for k in sorted(model)
+                               if key <= k < key + width]
+            tree.check_invariants()
+            assert_decoded_match_bytes(tree, pm)
+        assert pm.pool.stats.evictions > evictions
+
+    def test_failed_store_leaves_shared_nodes_untouched(self):
+        tree, pm, _ = make_tree(block_size=512)
+        keys = range(1, 21)
+        for k in keys:
+            tree.insert(ik(k), b"v%d" % k)
+        before = answers(tree, keys)          # decodes onto the frames
+        # Sorts before every encoded int, so the split's left half holds
+        # it and fails to serialise before anything is written.
+        oversized = b"\x00" * 600
+        with pytest.raises(IndexError_, match="too large"):
+            tree.insert(oversized, b"x")
+        assert tree.get(oversized) is None
+        assert answers(tree, keys) == before
+        assert_decoded_match_bytes(tree, pm)
+        for page in pm.pool.iter_resident():
+            page.decoded = None
+        assert answers(tree, keys) == before   # the page bytes agree
+        tree.check_invariants()
+
+    def test_page_write_drops_decoded_node(self):
+        tree, pm, fid = make_tree(block_size=512)
+        for k in range(50):
+            tree.insert(ik(k), b"val%02d" % k)
+        assert tree.get(ik(7)) == b"val07"
+        leaf_no = tree._descend(ik(7))[-1][0]
+        page = pm.fetch(PageId(fid, leaf_no))
+        try:
+            assert page.decoded is not None
+            page.write(bytes(page.data).index(b"val07"), b"VAL07")
+            assert page.decoded is None
+        finally:
+            pm.unpin(page.page_id, dirty=True)
+        assert tree.get(ik(7)) == b"VAL07"
+        assert (ik(7), b"VAL07") in list(tree.items(ik(5), ik(9)))
+
+    def test_rebuild_indexes_reads_fresh_nodes(self):
+        db = Database(buffer_capacity=64)
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        db.executemany("INSERT INTO t VALUES (?, ?)",
+                       [(i, i * 10) for i in range(200)])
+        assert db.query("SELECT v FROM t WHERE id = 5") == [(50,)]
+        # Lose one index entry behind the planner's back; the cached
+        # decoded leaf must not keep answering from before the loss...
+        tree = db.catalog.table("t").index_on(("id",)).tree
+        tree.delete(encode_key((5,)))
+        assert db.query("SELECT v FROM t WHERE id = 5") == []
+        # ...nor from before the rebuild that restores it.
+        db.catalog.rebuild_indexes("t")
+        assert db.query("SELECT v FROM t WHERE id = 5") == [(50,)]
+        rebuilt = db.catalog.table("t").index_on(("id",)).tree
+        assert_decoded_match_bytes(rebuilt, db.catalog.pages)

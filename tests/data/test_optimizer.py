@@ -1,18 +1,33 @@
 """Cost-based optimizer tests: statistics, selectivity, access-path
 choice, join ordering, and the enriched EXPLAIN output."""
 
+import random
+
 import pytest
 
+from repro.access import encode_key
 from repro.data import Database
 from repro.data.sql.optimizer import (
     CostModel,
     JoinEdge,
     SelectivityEstimator,
     PredicateSpec,
+    index_interval,
     order_joins,
 )
-from repro.data.sql.stats import ColumnStats, TableStats, build_histogram
+from repro.data.sql.stats import (
+    ColumnStats,
+    TableStats,
+    build_histogram,
+    physical_correlation,
+)
+from repro.data.table import TableIndex
 from repro.storage import MemoryDevice
+from tests.data.test_serializable import (
+    find_cycle,
+    precedence_edges,
+    run_oracle,
+)
 
 
 @pytest.fixture()
@@ -84,6 +99,7 @@ class TestStatistics:
         assert stats.row_count == 50
         assert stats.columns["v"].n_distinct == 5
         assert stats.columns["id"].histogram[0] == 0
+        assert stats.columns["id"].correlation == 1.0
 
     def test_drop_table_drops_stats(self, db):
         db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
@@ -122,7 +138,7 @@ class TestHistograms:
         values = sorted([0] * 900 + list(range(1, 101)))
         column = ColumnStats(n_distinct=101, minimum=0, maximum=100,
                              histogram=build_histogram(values))
-        assert column.range_selectivity(">", 0) < 0.2
+        assert column.interval_selectivity((0, False), None) < 0.2
 
     def test_eq_selectivity_uses_distinct_count(self):
         column = ColumnStats(n_distinct=20, minimum=0, maximum=19,
@@ -134,8 +150,15 @@ class TestHistograms:
     def test_between_selectivity(self):
         column = ColumnStats(n_distinct=100, minimum=0, maximum=100,
                              histogram=[0, 25, 50, 75, 100])
-        assert column.between_selectivity(25, 75) == pytest.approx(
-            0.5, abs=0.1)
+        assert column.interval_selectivity(
+            (25, True), (75, True)) == pytest.approx(0.5, abs=0.1)
+
+
+    def test_physical_correlation(self):
+        assert physical_correlation(list(range(100))) == 1.0
+        assert physical_correlation(list(range(100))[::-1]) == -1.0
+        assert abs(physical_correlation([i % 8 for i in range(400)])) < 0.2
+        assert physical_correlation([7]) == 0.0
 
 
 class TestSelectivityEstimator:
@@ -153,6 +176,15 @@ class TestSelectivityEstimator:
         combined = estimator.combined([PredicateSpec("a", "=", 1),
                                        PredicateSpec("b", "=", 2)])
         assert combined == pytest.approx(0.1 * 0.25)
+
+    def test_same_column_bounds_price_as_one_interval(self):
+        column = ColumnStats(n_distinct=1000, minimum=0, maximum=999,
+                             histogram=build_histogram(list(range(1000))))
+        estimator = SelectivityEstimator(TableStats(
+            row_count=1000, page_count=10, columns={"id": column}))
+        combined = estimator.combined([PredicateSpec("id", ">=", 400),
+                                       PredicateSpec("id", "<", 420)])
+        assert combined == pytest.approx(0.02, abs=0.002)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +209,20 @@ class TestCostModel:
         pages, rows = 1000, 100_000
         assert model.seq_scan(pages, rows) < \
             model.index_scan(pages, rows, rows * 0.9)
+
+
+    def test_correlated_fetches_cost_their_share_of_pages(self):
+        model = CostModel(buffer_pages=8)
+        pages, rows = 1000, 100_000
+        scattered = model.index_scan(pages, rows, 500)
+        assert model.index_scan(pages, rows, 500, correlation=0.0) \
+            == scattered
+        clustered = model.index_scan(pages, rows, 500, correlation=1.0)
+        assert clustered < model.index_scan(pages, rows, 500, 0.5) \
+            < scattered
+        # 500 rows stored in index order fill 5 of the 1000 pages.
+        assert clustered == pytest.approx(
+            model.index_scan(pages, rows, 0) + 5 + 500 * 0.01)
 
 
 class TestJoinOrdering:
@@ -389,3 +435,219 @@ class TestRegressions:
             "WHERE fact.v < 3 AND dim_small.name = 's1'")
         assert result.plan["cost_based"] is True
         assert result.rows == [(1,)]
+
+
+# ---------------------------------------------------------------------------
+# interval access path: both bounds of one column in one index probe
+# ---------------------------------------------------------------------------
+
+
+def ranged_db(n_rows=1000, analyze=False, **kwargs):
+    """``r.id`` is the indexed key; ``r.v`` holds the same values with no
+    index, so a query on ``v`` is the seq-scan reference."""
+    db = Database(buffer_capacity=64, **kwargs)
+    db.execute("CREATE TABLE r (id INT PRIMARY KEY, v INT, pad TEXT)")
+    db.executemany("INSERT INTO r VALUES (?, ?, ?)",
+                   [(i, i, "x" * 40) for i in range(n_rows)])
+    if analyze:
+        db.execute("ANALYZE")
+    return db
+
+
+def outcome(db, sql, params):
+    try:
+        return "rows", sorted(db.query(sql, params))
+    except TypeError as exc:
+        return "error", type(exc)
+
+
+@pytest.fixture()
+def probes(monkeypatch):
+    """The bounds of every B+-tree range probe run."""
+    calls = []
+    original = TableIndex.range_scan
+
+    def spy(self, lo, hi, lo_inclusive=True, hi_inclusive=False):
+        calls.append((lo, hi, lo_inclusive, hi_inclusive))
+        return original(self, lo, hi, lo_inclusive, hi_inclusive)
+
+    monkeypatch.setattr(TableIndex, "range_scan", spy)
+    return calls
+
+
+BOTH_PLANNERS = pytest.mark.parametrize(
+    "analyze", [False, True], ids=["rule", "cost"])
+
+
+class TestIndexInterval:
+    def test_tighter_bound_wins_on_each_side(self):
+        specs = [PredicateSpec("id", ">", 10), PredicateSpec("id", ">=", 15),
+                 PredicateSpec("id", "<", 20), PredicateSpec("id", "<=", 30)]
+        assert index_interval(specs) == ((15, True), (20, False))
+
+    def test_exclusive_wins_at_equal_values(self):
+        assert index_interval([PredicateSpec("id", ">=", 15),
+                               PredicateSpec("id", ">", 15)]) \
+            == ((15, False), None)
+        assert index_interval([PredicateSpec("id", "<", 9),
+                               PredicateSpec("id", "<=", 9)]) \
+            == (None, (9, False))
+
+    def test_between_folds_in(self):
+        specs = [PredicateSpec("id", "between", low=5, high=50),
+                 PredicateSpec("id", "<", 40)]
+        assert index_interval(specs) == ((5, True), (40, False))
+
+    def test_bounds_that_do_not_order_give_no_interval(self):
+        specs = [PredicateSpec("id", ">=", 3), PredicateSpec("id", "<", "z")]
+        assert index_interval(specs) is None
+        assert index_interval([PredicateSpec("id", ">", "a")],
+                              sample=0) is None
+        assert index_interval([PredicateSpec("id", ">", 2.5)],
+                              sample=0) == ((2.5, False), None)
+
+
+class TestIntervalAccessPath:
+    def test_explain_estimate_of_two_sided_range(self):
+        db = ranged_db(n_rows=5000, analyze=True)
+        result = db.execute(
+            "EXPLAIN SELECT * FROM r WHERE id >= ? AND id < ?",
+            (1000, 1020))
+        assert ("access_path", "index_range(r.id)") in result.rows
+        assert 10 <= result.plan["estimated_rows"] <= 40
+
+    def test_clustered_range_beats_scan_scattered_one_does_not(self):
+        """A range on a column stored in index order reads a few
+        consecutive pages; the same width on a shuffled column touches a
+        page per row, so only the first is worth an index probe."""
+        db = Database(buffer_capacity=64)
+        db.execute("CREATE TABLE c (id INT PRIMARY KEY, s INT, pad TEXT)")
+        shuffled = list(range(1000))
+        random.Random(5).shuffle(shuffled)
+        db.executemany("INSERT INTO c VALUES (?, ?, ?)",
+                       [(i, shuffled[i], "x" * 40) for i in range(1000)])
+        db.execute("CREATE INDEX c_s ON c (s)")
+        db.execute("ANALYZE c")
+        stats = db.catalog.stats_for("c")
+        assert stats.columns["id"].correlation == 1.0
+        assert abs(stats.columns["s"].correlation) < 0.2
+        by_id = db.execute(
+            "SELECT id FROM c WHERE id >= ? AND id < ?", (100, 200))
+        by_s = db.execute(
+            "SELECT id FROM c WHERE s >= ? AND s < ?", (100, 200))
+        assert by_id.plan["access_paths"] == ["index_range(c.id)"]
+        assert by_s.plan["access_paths"] == ["seq_scan(c)"]
+        assert len(by_id.rows) == len(by_s.rows) == 100
+
+    @BOTH_PLANNERS
+    def test_tighter_of_two_lower_bounds(self, analyze, probes):
+        db = ranged_db(analyze=analyze)
+        result = db.execute(
+            "SELECT id FROM r WHERE id > ? AND id >= ? AND id < ?",
+            (10, 15, 20))
+        assert result.rows == [(i,) for i in range(15, 20)]
+        assert result.plan["access_paths"] == ["index_range(r.id)"]
+        assert probes == [((15,), (20,), True, False)]
+
+    @BOTH_PLANNERS
+    @pytest.mark.parametrize("lo_op,hi_op",
+                             [(">=", "<"), (">", "<"), (">=", "<="),
+                              (">", "<=")])
+    def test_inclusive_exclusive_combinations(self, analyze, lo_op, hi_op,
+                                              probes):
+        db = ranged_db(analyze=analyze)
+        sql = f"SELECT id FROM r WHERE id {lo_op} ? AND id {hi_op} ?"
+        result = db.execute(sql, (10, 20))
+        expected = [i for i in range(1000)
+                    if (i >= 10 if lo_op == ">=" else i > 10)
+                    and (i <= 20 if hi_op == "<=" else i < 20)]
+        assert result.rows == [(i,) for i in expected]
+        assert result.plan["access_paths"] == ["index_range(r.id)"]
+        assert probes == [((10,), (20,), lo_op == ">=", hi_op == "<=")]
+
+    @BOTH_PLANNERS
+    def test_empty_interval_returns_nothing(self, analyze):
+        db = ranged_db(analyze=analyze)
+        result = db.execute(
+            "SELECT id FROM r WHERE id >= ? AND id < ?", (30, 10))
+        assert result.rows == []
+        assert result.plan["access_paths"] == ["index_range(r.id)"]
+
+    @BOTH_PLANNERS
+    @pytest.mark.parametrize("bounds,path", [
+        ((2.5, 7.5), "index_range(r.id)"),
+        ((3, "z"), "seq_scan(r)"),
+        (("a", 6), "seq_scan(r)"),
+        (("a", "z"), "seq_scan(r)"),
+    ])
+    def test_mixed_type_bounds_fall_back(self, analyze, bounds, path):
+        db = ranged_db(analyze=analyze)
+        explain = db.execute(
+            "EXPLAIN SELECT id FROM r WHERE id >= ? AND id < ?", bounds)
+        assert ("access_path", path) in explain.rows
+        assert outcome(db, "SELECT id FROM r WHERE id >= ? AND id < ?",
+                       bounds) \
+            == outcome(db, "SELECT id FROM r WHERE v >= ? AND v < ?",
+                       bounds)
+
+    def test_unordered_between_bounds_estimate_without_raising(self):
+        db = ranged_db(analyze=True)
+        explain = db.execute(
+            "EXPLAIN SELECT id FROM r WHERE id BETWEEN ? AND ?", (1, "z"))
+        assert ("access_path", "seq_scan(r)") in explain.rows
+
+    @BOTH_PLANNERS
+    def test_update_plans_interval_with_both_bounds(self, analyze, probes):
+        db = ranged_db(analyze=analyze)
+        explain = db.execute(
+            "EXPLAIN UPDATE r SET v = -1 WHERE id >= ? AND id < ?", (50, 60))
+        assert ("access_path", "index_range(r.id)") in explain.rows
+        result = db.execute(
+            "UPDATE r SET v = -1 WHERE id >= ? AND id < ?", (50, 60))
+        assert result.affected == 10
+        assert probes == [((50,), (60,), True, False)]
+        assert db.query("SELECT id FROM r WHERE v = -1") \
+            == [(i,) for i in range(50, 60)]
+
+    @BOTH_PLANNERS
+    def test_serializable_records_closed_key_range(self, analyze):
+        db = ranged_db(analyze=analyze, isolation="serializable")
+        db.execute("BEGIN")
+        db.query("SELECT id FROM r WHERE id >= ? AND id < ?", (10, 20))
+        tracker = db.transactions.ssi.tracker(db._session_txn.txn_id)
+        assert tracker.key_reads["r"][("id",)] == {
+            (encode_key((10,)), encode_key((20,)), True, False)}
+        db.execute("COMMIT")
+
+
+def mix_range_skew(db, rng, n_items):
+    """Write skew over a PK interval: read a pair through ``id >= ? AND
+    id < ?``; drain one side while the pair's sum allows, else refill
+    both.  Only the interval probe's key range covers the pair."""
+    a = 2 * rng.randrange(n_items // 2)
+    db.execute("BEGIN")
+    rows = db.query("SELECT id, ver, val FROM items "
+                    "WHERE id >= ? AND id < ?", (a, a + 2))
+    reads = {row[0]: row[1] for row in rows}
+    values = {row[0]: row[2] for row in rows}
+    writes = {}
+    for item, delta in ([(rng.choice((a, a + 1)), -50)]
+                        if values[a] + values[a + 1] > 60
+                        else [(a, 100), (a + 1, 100)]):
+        version = reads[item] + 1
+        db.execute("UPDATE items SET val = val + ?, ver = ? WHERE id = ?",
+                   (delta, version, item))
+        writes[item] = version
+    db.execute("COMMIT")
+    return reads, writes
+
+
+class TestIntervalSerializability:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_range_skew_acyclic_under_serializable(self, seed):
+        db = Database(isolation="serializable")
+        logs = run_oracle(db, [mix_range_skew], seed, txns_per_worker=6)
+        cycle = find_cycle(len(logs), precedence_edges(logs))
+        assert cycle is None, \
+            f"serializability violated: cycle {cycle} seed={seed}"
+        assert logs

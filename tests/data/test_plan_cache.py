@@ -115,6 +115,51 @@ class TestPlanReuse:
             for _ in range(2):                 # second pass = cache hit
                 assert db.query(sql, params) == cold.query(sql, params)
 
+    @pytest.mark.parametrize("analyze", [False, True],
+                             ids=["rule", "cost"])
+    def test_interval_plans_match_uncached(self, analyze):
+        """Cached templates and the uncached planner fold a two-sided
+        range into the same interval access path, for SELECT and DML."""
+        def build(cache_size):
+            database = Database(plan_cache_size=cache_size)
+            database.execute("CREATE TABLE r (id INT PRIMARY KEY, v INT, "
+                             "pad TEXT)")
+            database.executemany(
+                "INSERT INTO r VALUES (?, ?, ?)",
+                [(i, i % 7, "x" * 40) for i in range(1000)])
+            if analyze:
+                database.execute("ANALYZE")
+            return database
+
+        def answer(result):
+            return (getattr(result, "rows", None),
+                    getattr(result, "affected", None))
+
+        warm, cold = build(128), build(0)
+        statements = [
+            ("SELECT * FROM r WHERE id >= ? AND id < ?", (100, 120)),
+            ("SELECT id FROM r WHERE id > ? AND id <= ? AND v = ?",
+             (5, 15, 3)),
+            ("SELECT id FROM r WHERE ? <= id AND id < ?", (900, 905)),
+            ("SELECT id FROM r WHERE id >= ? AND id < ?", (50, 10)),
+            ("UPDATE r SET v = v + 1 WHERE id >= ? AND id < ?", (10, 30)),
+        ]
+        for sql, params in statements:
+            for _ in range(2):                 # second pass = cache hit
+                plans = [
+                    [row for row in database.execute(
+                        f"EXPLAIN {sql}", params).rows
+                     if row[0] in ("access_path", "estimate")]
+                    for database in (warm, cold)]
+                assert plans[0] == plans[1]
+                assert ("access_path", "index_range(r.id)") in plans[0]
+                results = [database.execute(sql, params)
+                           for database in (warm, cold)]
+                assert answer(results[0]) == answer(results[1])
+        assert warm.query("SELECT * FROM r") == cold.query("SELECT * FROM r")
+        assert warm.execute("SELECT * FROM r WHERE id >= ? AND id < ?",
+                            (1, 3)).plan["cached"] == "hit"
+
     def test_access_path_rechosen_per_execution(self, db):
         # The template re-runs access-path selection with the live bound
         # parameters, so plan output is identical to the uncached planner.
